@@ -17,10 +17,7 @@
 //! statistics; what diverges is wall-clock scalability under contention.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hstorage_bench::workload::{
-    contended_hot_reads, warmed_backend_cache, warmed_cache, HOT_READS_PER_THREAD,
-};
-use hstorage_cache::ListBackend;
+use hstorage_bench::workload::{contended_hot_reads, warmed_cache, HOT_READS_PER_THREAD};
 
 fn bench_contended(c: &mut Criterion) {
     let mut group = c.benchmark_group("contended_throughput");
@@ -39,24 +36,6 @@ fn bench_contended(c: &mut Criterion) {
                 b.iter(|| contended_hot_reads(&cache, threads, HOT_READS_PER_THREAD));
             });
         }
-    }
-
-    // Shard-interior backends at full contention: 32 threads on the
-    // lock-light engine, flat (open-addressing + arena) vs the legacy map
-    // interior. The repeat-hit workload is served by the optimistic fast
-    // path, so the pair doubles as a control: a flat-vs-map gap here
-    // would mean the interior leaked onto the fast path.
-    let threads = 32usize;
-    group.throughput(Throughput::Elements(threads as u64 * HOT_READS_PER_THREAD));
-    for backend in [ListBackend::Flat, ListBackend::Map] {
-        let cache = warmed_backend_cache(true, backend);
-        group.bench_with_input(
-            BenchmarkId::new(format!("interior_{}", backend.label()), threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| contended_hot_reads(&cache, threads, HOT_READS_PER_THREAD));
-            },
-        );
     }
 
     group.finish();

@@ -6,9 +6,9 @@
 //! `cargo run --release -p hstorage-bench --bin run_experiments \
 //!     [scale] [--check] [--only <name>]... [--report <path>]`
 //!
-//! * `scale` — optional TPC-H scale factor (default 0.1 for the
-//!   single-query experiments, half of that for the sequence/concurrency
-//!   experiments).
+//! * `scale` — optional TPC-H scale factor, a finite positive number
+//!   (default 0.1 for the single-query experiments, half of that for the
+//!   sequence/concurrency experiments).
 //! * `--check` — exit non-zero if any paper-vs-measured key ratio produced
 //!   by the experiments that ran disagrees in *direction* with the paper —
 //!   the CI paper-fidelity gate.
@@ -253,6 +253,17 @@ fn experiments(single_scale: TpchScale, long_scale: TpchScale) -> Vec<Experiment
     ]
 }
 
+/// Parses the positional scale-factor argument. `Ok(None)` means `arg`
+/// is not a number (an unknown argument); a number that is not a finite,
+/// positive scale factor is an error.
+fn parse_scale(arg: &str) -> Result<Option<f64>, String> {
+    match arg.parse::<f64>() {
+        Err(_) => Ok(None),
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(Some(scale)),
+        Ok(_) => Err(format!("scale must be a finite positive number, got {arg}")),
+    }
+}
+
 fn main() {
     let mut arg_scale: Option<f64> = None;
     let mut check = false;
@@ -279,11 +290,18 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        } else if let Ok(scale) = arg.parse::<f64>() {
-            arg_scale = Some(scale);
         } else {
-            eprintln!("unknown argument: {arg}\n{usage}");
-            std::process::exit(2);
+            match parse_scale(&arg) {
+                Ok(Some(scale)) => arg_scale = Some(scale),
+                Ok(None) => {
+                    eprintln!("unknown argument: {arg}\n{usage}");
+                    std::process::exit(2);
+                }
+                Err(e) => {
+                    eprintln!("{e}\n{usage}");
+                    std::process::exit(2);
+                }
+            }
         }
     }
     let single_scale = arg_scale
@@ -357,5 +375,21 @@ fn main() {
     if check && mismatches > 0 {
         eprintln!("--check: {mismatches} key ratio(s) disagree with the paper's direction");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn parse_scale_accepts_only_finite_positive_numbers() {
+        assert_eq!(parse_scale("0.02"), Ok(Some(0.02)));
+        assert_eq!(parse_scale("1"), Ok(Some(1.0)));
+        assert_eq!(parse_scale("--bogus"), Ok(None));
+        assert_eq!(parse_scale("fig4"), Ok(None));
+        for bad in ["0", "-0", "-1", "nan", "NaN", "inf", "-inf", "infinity"] {
+            assert!(parse_scale(bad).is_err(), "{bad} must be rejected");
+        }
     }
 }

@@ -33,7 +33,7 @@ pub fn report_concurrency_scale() -> TpchScale {
 /// construction and drive loop live here, once.
 pub mod workload {
     use hstorage_cache::{
-        CachePolicyKind, HybridCache, ListBackend, StorageConfig, StorageConfigKind, StorageSystem,
+        CachePolicyKind, HybridCache, StorageConfig, StorageConfigKind, StorageSystem,
     };
     use hstorage_engine::{
         run_streams_service, Access, Catalog, ConcurrencyRegistry, ExecutorConfig, ObjectKind,
@@ -160,16 +160,7 @@ pub mod workload {
     /// after warm-up; the `optimistic` flag selects the lock-light or the
     /// fully locked (pre-optimization) hot path.
     pub fn warmed_cache(optimistic: bool) -> HybridCache {
-        warmed_backend_cache(optimistic, ListBackend::default())
-    }
-
-    /// As [`warmed_cache`], with an explicit shard-interior backend — the
-    /// contended bench runs the flat and the legacy map interior
-    /// side-by-side at full thread count.
-    pub fn warmed_backend_cache(optimistic: bool, backend: ListBackend) -> HybridCache {
-        let cache = fresh_cache(1)
-            .with_interior_backend(backend)
-            .with_optimistic_reads(optimistic);
+        let cache = fresh_cache(1).with_optimistic_reads(optimistic);
         for _ in 0..2 {
             for b in 0..HOT_SET {
                 cache.submit(hot_read(b * 16));
@@ -206,8 +197,8 @@ pub mod workload {
     /// each shard holds hundreds of distinct resident blocks, consecutive
     /// hits to a shard land on different blocks — the optimistic hit
     /// descriptor never matches, so every submit takes the full locked
-    /// path: stripe mutex, metadata probe, policy-list touch. That is
-    /// exactly the path the interior backends (flat vs map) differ on.
+    /// path: stripe mutex, metadata probe, policy-list touch — the path
+    /// the shard interior (metadata table and recency lists) sits on.
     pub fn interior_hit_read(i: u64) -> ClassifiedRequest {
         ClassifiedRequest::new(
             IoRequest::read(BlockRange::new(i % INTERIOR_SET, 1), false),
@@ -229,17 +220,16 @@ pub mod workload {
     }
 
     /// A fresh single-queue-depth sharded cache running the default policy
-    /// on the chosen shard-interior backend (cold — miss-cycle starting
-    /// point).
-    pub fn fresh_interior_cache(backend: ListBackend) -> HybridCache {
-        fresh_cache(1).with_interior_backend(backend)
+    /// (cold — miss-cycle starting point).
+    pub fn fresh_interior_cache() -> HybridCache {
+        fresh_cache(1)
     }
 
-    /// A cache on the chosen interior backend pre-warmed so the whole
-    /// [`INTERIOR_SET`] is resident; statistics are reset after warm-up so
-    /// every subsequent [`interior_hit_read`] is a cache hit.
-    pub fn warmed_interior_cache(backend: ListBackend) -> HybridCache {
-        let cache = fresh_interior_cache(backend);
+    /// A cache pre-warmed so the whole [`INTERIOR_SET`] is resident;
+    /// statistics are reset after warm-up so every subsequent
+    /// [`interior_hit_read`] is a cache hit.
+    pub fn warmed_interior_cache() -> HybridCache {
+        let cache = fresh_interior_cache();
         for i in 0..INTERIOR_SET {
             cache.submit(interior_hit_read(i));
         }

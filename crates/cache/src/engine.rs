@@ -56,12 +56,12 @@
 
 use crate::allocator::SlotAllocator;
 use crate::journal::{Journal, JournalConfig, JournalOp, JournalSnapshot};
-use crate::lru::ListBackend;
-use crate::metadata::{BlockState, CacheEntry, CacheMetadata};
+use crate::metadata::{BlockState, CacheEntry};
 use crate::migration::{MigrationConfig, MigrationCounters, MigrationStats, ShardMigration};
 use crate::policy::{CachePolicy, CachePolicyKind, HitOutcome, PolicyRequest, RemoveReason};
 use crate::stats::{AtomicCacheStats, CacheAction, CacheStats};
 use crate::system::StorageSystem;
+use crate::table::BlockTable;
 use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, Direction, HddDevice, HddParameters,
     IoRequest, PolicyConfig, QosPolicy, SimClock, SsdDevice, SsdParameters, StorageDevice,
@@ -110,7 +110,7 @@ fn hit_fingerprint(req: &PolicyRequest) -> u64 {
 /// (in addition to the stripe mutex), so a holder of the read lock sees a
 /// consistent metadata + hot-descriptor pair without any versioning.
 struct MetaView {
-    meta: CacheMetadata,
+    meta: BlockTable,
     /// `Some` exactly while the last completed shard visit was a read hit
     /// and nothing has perturbed policy order since; any such block is
     /// guaranteed resident.
@@ -156,17 +156,12 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(
-        config: &PolicyConfig,
-        capacity: u64,
-        policy: Box<dyn CachePolicy>,
-        backend: ListBackend,
-    ) -> Self {
+    fn new(config: &PolicyConfig, capacity: u64, policy: Box<dyn CachePolicy>) -> Self {
         Shard {
             view: RwLock::new(MetaView {
                 // Pre-sized to the shard's slot count: a full shard never
-                // rehashes mid-run on the flat backend.
-                meta: CacheMetadata::with_backend(backend, capacity as usize),
+                // rehashes mid-run.
+                meta: BlockTable::with_capacity(capacity as usize),
                 hot: None,
             }),
             inner: Mutex::new(ShardInner {
@@ -723,10 +718,6 @@ impl Shard {
 pub struct CacheEngine {
     config: PolicyConfig,
     policy_kind: CachePolicyKind,
-    /// The [`Self::with_interior_backend`] knob (default
-    /// [`ListBackend::Flat`]): which data-structure layout backs every
-    /// shard's resident-block table and the policies' recency lists.
-    interior_backend: ListBackend,
     name: String,
     /// Whether the installed policy maintains a write buffer (group 0).
     /// When it does not, the write-buffer flush checks and the batch
@@ -838,23 +829,16 @@ impl CacheEngine {
         config.validate().expect("invalid policy configuration");
         assert!(shards > 0, "shard count must be positive");
         let kind = CachePolicyKind::default();
-        let backend = ListBackend::default();
         let n = shards as u64;
         let shards = (0..n)
             .map(|i| {
                 let capacity = cache_capacity_blocks / n + u64::from(i < cache_capacity_blocks % n);
-                Shard::new(
-                    &config,
-                    capacity,
-                    kind.build_backed(&config, capacity, backend),
-                    backend,
-                )
+                Shard::new(&config, capacity, kind.build(&config, capacity))
             })
             .collect();
         let mut engine = CacheEngine {
             config,
             policy_kind: kind,
-            interior_backend: backend,
             name: kind.system_name().to_string(),
             write_buffering: true,
             optimistic_reads: true,
@@ -918,46 +902,10 @@ impl CacheEngine {
                 "cache policy must be selected before submitting traffic"
             );
             let inner = shard.inner.get_mut();
-            inner.policy =
-                kind.build_backed(&self.config, inner.alloc.capacity(), self.interior_backend);
+            inner.policy = kind.build(&self.config, inner.alloc.capacity());
         }
         self.refresh_policy_traits();
         self
-    }
-
-    /// Selects which data-structure layout backs every shard's
-    /// resident-block table and the installed policy's recency lists:
-    /// [`ListBackend::Flat`] (the default) uses open-addressing tables
-    /// and arena-backed intrusive lists, [`ListBackend::Map`] the legacy
-    /// `HashMap`-plus-heap-node structures. The knob never changes a
-    /// caching decision — the equivalence suites and the bench gate pin
-    /// the two backends to identical statistics — only the memory the
-    /// hot path walks. Must be called before any traffic is submitted
-    /// (shard metadata and policy state are rebuilt empty), and before
-    /// [`Self::with_policy_factory`] if a custom policy is installed
-    /// (this knob rebuilds the shipped [`CachePolicyKind`]'s policies).
-    pub fn with_interior_backend(mut self, backend: ListBackend) -> Self {
-        self.interior_backend = backend;
-        for shard in &mut self.shards {
-            let inner = shard.inner.get_mut();
-            let capacity = inner.alloc.capacity();
-            let view = shard.view.get_mut();
-            assert!(
-                view.meta.is_empty(),
-                "interior backend must be selected before submitting traffic"
-            );
-            view.meta = CacheMetadata::with_backend(backend, capacity as usize);
-            inner.policy = self
-                .policy_kind
-                .build_backed(&self.config, capacity, backend);
-        }
-        self.refresh_policy_traits();
-        self
-    }
-
-    /// The interior data-structure backend in force.
-    pub fn interior_backend(&self) -> ListBackend {
-        self.interior_backend
     }
 
     /// Installs a custom [`CachePolicy`] built by `factory` (called once

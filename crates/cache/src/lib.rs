@@ -53,7 +53,6 @@ pub use config::{StorageConfig, StorageConfigKind};
 pub use engine::CacheEngine;
 pub use hybrid::HybridCache;
 pub use journal::{Journal, JournalConfig, JournalOp, JournalRecord, JournalSnapshot};
-pub use lru::ListBackend;
 pub use lru_cache::LruCache;
 pub use migration::{HeatTracker, MigrationConfig, MigrationStats};
 pub use passthrough::{HddOnly, SsdOnly};

@@ -5,16 +5,11 @@
 //! we additionally record the clean/dirty state that Section 5.1 describes
 //! for valid blocks.
 //!
-//! The table interior is selectable via [`ListBackend`]: the default flat
-//! layout probes an open-addressing [`BlockTable`]; the legacy map layout
-//! keeps a `std::HashMap` and exists as the measured bench comparator.
-//! Both expose identical lookup semantics, and iteration order is
-//! unspecified either way (every engine consumer sorts or counts).
+//! This module defines the entry; the table itself is the open-addressing
+//! [`BlockTable`](crate::table::BlockTable), which each engine shard holds
+//! directly.
 
-use crate::lru::ListBackend;
-use crate::table::BlockTable;
-use hstorage_storage::{BlockAddr, CachePriority};
-use std::collections::HashMap;
+use hstorage_storage::CachePriority;
 
 /// State of a valid cached block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,138 +38,12 @@ impl CacheEntry {
     }
 }
 
-#[derive(Debug, Clone)]
-enum MetaRepr {
-    Flat(BlockTable),
-    Map(HashMap<BlockAddr, CacheEntry>),
-}
-
-/// The lookup table `lbn → (pbn, prio, state)`.
-#[derive(Debug, Clone)]
-pub struct CacheMetadata {
-    repr: MetaRepr,
-}
-
-impl Default for CacheMetadata {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CacheMetadata {
-    /// Creates an empty metadata table on the default (flat) backend.
-    pub fn new() -> Self {
-        Self::with_backend(ListBackend::Flat, 0)
-    }
-
-    /// Creates an empty metadata table on an explicit backend, pre-sized
-    /// for `capacity` resident blocks (the flat table probes without ever
-    /// growing when the shard stays within its slot capacity).
-    pub fn with_backend(backend: ListBackend, capacity: usize) -> Self {
-        CacheMetadata {
-            repr: match backend {
-                ListBackend::Flat => MetaRepr::Flat(BlockTable::with_capacity(capacity)),
-                ListBackend::Map => MetaRepr::Map(HashMap::with_capacity(capacity)),
-            },
-        }
-    }
-
-    /// Number of cached (valid) blocks.
-    pub fn len(&self) -> usize {
-        match &self.repr {
-            MetaRepr::Flat(t) => t.len(),
-            MetaRepr::Map(m) => m.len(),
-        }
-    }
-
-    /// Whether no blocks are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Looks up a block.
-    #[inline]
-    pub fn get(&self, lbn: BlockAddr) -> Option<&CacheEntry> {
-        match &self.repr {
-            MetaRepr::Flat(t) => t.get(lbn),
-            MetaRepr::Map(m) => m.get(&lbn),
-        }
-    }
-
-    /// Mutable lookup.
-    #[inline]
-    pub fn get_mut(&mut self, lbn: BlockAddr) -> Option<&mut CacheEntry> {
-        match &mut self.repr {
-            MetaRepr::Flat(t) => t.get_mut(lbn),
-            MetaRepr::Map(m) => m.get_mut(&lbn),
-        }
-    }
-
-    /// Whether a block is cached.
-    #[inline]
-    pub fn contains(&self, lbn: BlockAddr) -> bool {
-        match &self.repr {
-            MetaRepr::Flat(t) => t.contains(lbn),
-            MetaRepr::Map(m) => m.contains_key(&lbn),
-        }
-    }
-
-    /// Inserts (or replaces) the entry for a block.
-    pub fn insert(&mut self, lbn: BlockAddr, entry: CacheEntry) {
-        match &mut self.repr {
-            MetaRepr::Flat(t) => {
-                t.insert(lbn, entry);
-            }
-            MetaRepr::Map(m) => {
-                m.insert(lbn, entry);
-            }
-        }
-    }
-
-    /// Removes and returns the entry for a block.
-    pub fn remove(&mut self, lbn: BlockAddr) -> Option<CacheEntry> {
-        match &mut self.repr {
-            MetaRepr::Flat(t) => t.remove(lbn),
-            MetaRepr::Map(m) => m.remove(&lbn),
-        }
-    }
-
-    /// Iterates all `(lbn, entry)` pairs in unspecified order.
-    pub fn iter(&self) -> MetaIter<'_> {
-        match &self.repr {
-            MetaRepr::Flat(t) => MetaIter::Flat(t.iter()),
-            MetaRepr::Map(m) => MetaIter::Map(m.iter()),
-        }
-    }
-
-    /// Number of dirty blocks currently cached.
-    pub fn dirty_count(&self) -> usize {
-        self.iter().filter(|(_, e)| e.is_dirty()).count()
-    }
-}
-
-/// Iterator over a [`CacheMetadata`]'s `(lbn, entry)` pairs.
-pub enum MetaIter<'a> {
-    /// Walking the flat block table.
-    Flat(crate::table::BlockTableIter<'a>),
-    /// Walking the legacy hash map.
-    Map(std::collections::hash_map::Iter<'a, BlockAddr, CacheEntry>),
-}
-
-impl<'a> Iterator for MetaIter<'a> {
-    type Item = (BlockAddr, &'a CacheEntry);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            MetaIter::Flat(it) => it.next(),
-            MetaIter::Map(it) => it.next().map(|(lbn, e)| (*lbn, e)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::BlockTable;
+    use hstorage_storage::BlockAddr;
+    use std::collections::HashMap;
 
     fn entry(pbn: u64, prio: u8, dirty: bool) -> CacheEntry {
         CacheEntry {
@@ -188,65 +57,61 @@ mod tests {
         }
     }
 
-    fn backends() -> [ListBackend; 2] {
-        [ListBackend::Flat, ListBackend::Map]
+    fn dirty_count(m: &BlockTable) -> usize {
+        m.iter().filter(|(_, e)| e.is_dirty()).count()
     }
 
     #[test]
     fn insert_lookup_remove() {
-        for backend in backends() {
-            let mut m = CacheMetadata::with_backend(backend, 8);
-            assert!(m.is_empty());
-            m.insert(BlockAddr(5), entry(0, 2, false));
-            assert!(m.contains(BlockAddr(5)));
-            assert_eq!(m.get(BlockAddr(5)).unwrap().pbn, 0);
-            assert_eq!(m.len(), 1);
-            let removed = m.remove(BlockAddr(5)).unwrap();
-            assert_eq!(removed.priority, CachePriority(2));
-            assert!(m.is_empty());
-        }
+        let mut m = BlockTable::with_capacity(8);
+        assert!(m.is_empty());
+        m.insert(BlockAddr(5), entry(0, 2, false));
+        assert!(m.contains(BlockAddr(5)));
+        assert_eq!(m.get(BlockAddr(5)).unwrap().pbn, 0);
+        assert_eq!(m.len(), 1);
+        let removed = m.remove(BlockAddr(5)).unwrap();
+        assert_eq!(removed.priority, CachePriority(2));
+        assert!(m.is_empty());
     }
 
     #[test]
     fn dirty_count_tracks_state() {
-        for backend in backends() {
-            let mut m = CacheMetadata::with_backend(backend, 8);
-            m.insert(BlockAddr(1), entry(0, 1, true));
-            m.insert(BlockAddr(2), entry(1, 1, false));
-            m.insert(BlockAddr(3), entry(2, 3, true));
-            assert_eq!(m.dirty_count(), 2);
-            m.get_mut(BlockAddr(1)).unwrap().state = BlockState::Clean;
-            assert_eq!(m.dirty_count(), 1);
-        }
+        let mut m = BlockTable::with_capacity(8);
+        m.insert(BlockAddr(1), entry(0, 1, true));
+        m.insert(BlockAddr(2), entry(1, 1, false));
+        m.insert(BlockAddr(3), entry(2, 3, true));
+        assert_eq!(dirty_count(&m), 2);
+        m.get_mut(BlockAddr(1)).unwrap().state = BlockState::Clean;
+        assert_eq!(dirty_count(&m), 1);
     }
 
     #[test]
     fn insert_replaces_existing_entry() {
-        for backend in backends() {
-            let mut m = CacheMetadata::with_backend(backend, 8);
-            m.insert(BlockAddr(9), entry(10, 4, false));
-            m.insert(BlockAddr(9), entry(11, 2, true));
-            let e = m.get(BlockAddr(9)).unwrap();
-            assert_eq!(e.pbn, 11);
-            assert_eq!(e.priority, CachePriority(2));
-            assert!(e.is_dirty());
-            assert_eq!(m.len(), 1);
-        }
+        let mut m = BlockTable::with_capacity(8);
+        m.insert(BlockAddr(9), entry(10, 4, false));
+        m.insert(BlockAddr(9), entry(11, 2, true));
+        let e = m.get(BlockAddr(9)).unwrap();
+        assert_eq!(e.pbn, 11);
+        assert_eq!(e.priority, CachePriority(2));
+        assert!(e.is_dirty());
+        assert_eq!(m.len(), 1);
     }
 
+    /// The block table and a `std::HashMap` reference hold the same set
+    /// after the same inserts.
     #[test]
     fn iter_yields_the_same_set_on_both_backends() {
-        let mut sets = Vec::new();
-        for backend in backends() {
-            let mut m = CacheMetadata::with_backend(backend, 4);
-            for i in 0..50u64 {
-                m.insert(BlockAddr(i), entry(i, 1, i % 2 == 0));
-            }
-            let mut pairs: Vec<(u64, u64)> = m.iter().map(|(lbn, e)| (lbn.0, e.pbn)).collect();
-            pairs.sort_unstable();
-            sets.push(pairs);
+        let mut table = BlockTable::with_capacity(4);
+        let mut reference = HashMap::new();
+        for i in 0..50u64 {
+            table.insert(BlockAddr(i), entry(i, 1, i % 2 == 0));
+            reference.insert(BlockAddr(i), entry(i, 1, i % 2 == 0));
         }
-        assert_eq!(sets[0], sets[1]);
-        assert_eq!(sets[0].len(), 50);
+        let mut got: Vec<(u64, u64)> = table.iter().map(|(lbn, e)| (lbn.0, e.pbn)).collect();
+        got.sort_unstable();
+        let mut want: Vec<(u64, u64)> = reference.iter().map(|(lbn, e)| (lbn.0, e.pbn)).collect();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 50);
     }
 }

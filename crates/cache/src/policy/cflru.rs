@@ -7,7 +7,7 @@
 //! plain LRU block (dirty or not) when the whole window is dirty. Recency
 //! handling is otherwise identical to LRU.
 
-use crate::lru::{ListBackend, LruList};
+use crate::lru::LruList;
 use crate::policy::{CachePolicy, HitOutcome, PolicyRequest};
 use crate::table::OpenMap;
 use hstorage_storage::{BlockAddr, CachePriority, Direction};
@@ -22,8 +22,8 @@ use hstorage_storage::{BlockAddr, CachePriority, Direction};
 /// (resident blocks are never cleaned in place).
 pub struct CflruPolicy {
     stack: LruList,
-    /// Dirty-address set (contains-only, so the flat open-addressing map
-    /// serves both backends — membership queries are order-free).
+    /// Dirty-address set (contains-only: membership queries are
+    /// order-free, so an open-addressing map serves).
     dirty: OpenMap<()>,
     /// How many blocks from the LRU end are searched for a clean victim
     /// before falling back to plain LRU.
@@ -45,15 +45,10 @@ impl CflruPolicy {
     /// Creates the policy with an explicit clean-first window, given as an
     /// integer percentage of `shard_capacity` (floored, minimum 1 block).
     pub fn with_window(shard_capacity: u64, window_pct: u8) -> Self {
-        Self::with_window_backed(shard_capacity, window_pct, ListBackend::default())
-    }
-
-    /// Creates the policy with an explicit window and interior backend.
-    pub fn with_window_backed(shard_capacity: u64, window_pct: u8, backend: ListBackend) -> Self {
         let window =
             ((shard_capacity as f64 * (window_pct as f64 / 100.0)).floor() as usize).max(1);
         CflruPolicy {
-            stack: LruList::with_backend(backend),
+            stack: LruList::new(),
             dirty: OpenMap::new(),
             window,
         }

@@ -471,25 +471,11 @@ impl CachePolicyKind {
     /// `shard_capacity` cache slots. Leaf construction is shared with the
     /// compositor via [`StreamPolicyKind::build`].
     pub fn build(&self, config: &PolicyConfig, shard_capacity: u64) -> Box<dyn CachePolicy> {
-        self.build_backed(config, shard_capacity, crate::lru::ListBackend::default())
-    }
-
-    /// Like [`CachePolicyKind::build`], on an explicit interior backend
-    /// (threaded into every recency list the policy keeps).
-    pub fn build_backed(
-        &self,
-        config: &PolicyConfig,
-        shard_capacity: u64,
-        backend: crate::lru::ListBackend,
-    ) -> Box<dyn CachePolicy> {
         match (self, self.stream_kind()) {
-            (CachePolicyKind::PerStream(routing), _) => Box::new(PerStreamPolicy::new_backed(
-                *config,
-                shard_capacity,
-                *routing,
-                backend,
-            )),
-            (_, Some(leaf)) => leaf.build_backed(config, shard_capacity, backend),
+            (CachePolicyKind::PerStream(routing), _) => {
+                Box::new(PerStreamPolicy::new(*config, shard_capacity, *routing))
+            }
+            (_, Some(leaf)) => leaf.build(config, shard_capacity),
             (_, None) => unreachable!("every non-compositor kind has a stream leaf"),
         }
     }

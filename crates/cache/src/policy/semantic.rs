@@ -1,7 +1,6 @@
 //! The paper's semantic, priority-driven policy (Section 5.1), expressed
 //! behind the [`CachePolicy`] trait.
 
-use crate::lru::ListBackend;
 use crate::policy::{CachePolicy, HitOutcome, PolicyRequest};
 use crate::priority_group::PriorityGroups;
 use hstorage_storage::{BlockAddr, CachePriority, PolicyConfig, QosPolicy};
@@ -33,13 +32,8 @@ impl SemanticPriorityPolicy {
     /// Creates the policy for one shard under the given `{N, t, b}`
     /// configuration.
     pub fn new(config: PolicyConfig) -> Self {
-        Self::new_backed(config, ListBackend::default())
-    }
-
-    /// Creates the policy on an explicit interior backend.
-    pub fn new_backed(config: PolicyConfig, backend: ListBackend) -> Self {
         SemanticPriorityPolicy {
-            groups: PriorityGroups::with_backend(config.total_priorities, backend),
+            groups: PriorityGroups::new(config.total_priorities),
             config,
         }
     }

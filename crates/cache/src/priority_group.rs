@@ -9,7 +9,7 @@
 //! paper describes as a special priority that "wins" cache space over any
 //! other priority — i.e. it is evicted last.
 
-use crate::lru::{ListBackend, LruList};
+use crate::lru::LruList;
 use hstorage_storage::{BlockAddr, CachePriority};
 
 /// The set of per-priority LRU groups.
@@ -22,14 +22,8 @@ pub struct PriorityGroups {
 impl PriorityGroups {
     /// Creates groups for priorities `0..=total_priorities`.
     pub fn new(total_priorities: u8) -> Self {
-        Self::with_backend(total_priorities, ListBackend::default())
-    }
-
-    /// Creates groups for priorities `0..=total_priorities` on an explicit
-    /// interior backend.
-    pub fn with_backend(total_priorities: u8, backend: ListBackend) -> Self {
         let groups = (0..=total_priorities as usize)
-            .map(|_| LruList::with_backend(backend))
+            .map(|_| LruList::new())
             .collect();
         PriorityGroups { groups }
     }

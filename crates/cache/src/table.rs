@@ -3,8 +3,7 @@
 //! The paper's per-request metadata lookup (`lbn → (pbn, prio, state)`,
 //! Section 5.2) sits on the submit path of every shard, and after the
 //! lock-light refactor the remaining cost is the probe itself. This module
-//! replaces the `std::HashMap` there with a flat, cache-line-friendly
-//! open-addressing table:
+//! holds that table, a flat, cache-line-friendly open-addressing design:
 //!
 //! * power-of-two capacity with Fibonacci hashing (a single multiply and
 //!   shift — no SipHash state, no per-lookup hasher construction);
@@ -16,7 +15,9 @@
 //! [`OpenMap`] is the generic engine (`u64` keys, `Copy` values), and
 //! [`BlockTable`] the shard-metadata wrapper whose slots colocate the
 //! [`CacheEntry`] with a `u32` policy-node index so a single probe can
-//! reach both the metadata and the owning list node.
+//! reach both the metadata and the owning list node. [`OpenMap`] also
+//! indexes every [`LruList`](crate::lru::LruList). The tests check it
+//! against a `std::HashMap` model on arbitrary insert/remove traces.
 
 use crate::metadata::{BlockState, CacheEntry};
 use hstorage_storage::{BlockAddr, CachePriority};
@@ -282,8 +283,8 @@ impl Default for TableSlot {
 }
 
 /// The shard-metadata table `lbn → (CacheEntry, node)` on the flat
-/// [`OpenMap`] engine — the drop-in interior behind
-/// [`CacheMetadata`](crate::metadata::CacheMetadata).
+/// [`OpenMap`] engine: the paper's one lookup table, held directly by
+/// every engine shard.
 #[derive(Debug, Clone, Default)]
 pub struct BlockTable {
     map: OpenMap<TableSlot>,
@@ -416,6 +417,9 @@ mod tests {
         assert!(t.contains(BlockAddr(5)));
         assert_eq!(t.get(BlockAddr(5)).unwrap().pbn, 50);
         assert_eq!(t.len(), 1);
+        t.get_mut(BlockAddr(5)).unwrap().state = BlockState::Dirty;
+        assert!(t.get(BlockAddr(5)).unwrap().is_dirty());
+        assert_eq!(t.get_mut(BlockAddr(6)), None);
         assert_eq!(t.remove(BlockAddr(5)).unwrap().pbn, 50);
         assert!(t.is_empty());
         assert_eq!(t.remove(BlockAddr(5)), None);
@@ -427,8 +431,19 @@ mod tests {
         t.insert(BlockAddr(9), entry(1));
         assert_eq!(t.node(BlockAddr(9)), Some(NO_NODE));
         assert!(t.set_node(BlockAddr(9), 7));
-        let old = t.insert(BlockAddr(9), entry(2));
+        let new = CacheEntry {
+            pbn: 2,
+            priority: CachePriority(4),
+            state: BlockState::Dirty,
+        };
+        let old = t.insert(BlockAddr(9), new);
         assert_eq!(old.unwrap().pbn, 1);
+        assert_eq!(
+            t.get(BlockAddr(9)),
+            Some(&new),
+            "replace swaps the whole entry"
+        );
+        assert_eq!(t.len(), 1);
         assert_eq!(t.node(BlockAddr(9)), Some(7), "replace keeps the node");
         assert!(!t.set_node(BlockAddr(42), 0), "absent block has no node");
         assert_eq!(t.node(BlockAddr(42)), None);
@@ -444,6 +459,10 @@ mod tests {
         for i in 0..1000u64 {
             assert_eq!(t.get(BlockAddr(i)).unwrap().pbn, i * 10, "lbn {i}");
         }
+        let mut pairs: Vec<(u64, u64)> = t.iter().map(|(lbn, e)| (lbn.0, e.pbn)).collect();
+        pairs.sort_unstable();
+        let expect: Vec<(u64, u64)> = (0..1000u64).map(|i| (i, i * 10)).collect();
+        assert_eq!(pairs, expect, "iter yields every resident block once");
         t.map.assert_probe_invariant();
     }
 
