@@ -73,13 +73,35 @@ use std::time::Duration;
 
 /// Per-request batch of device traffic, flushed as one I/O per device and
 /// direction so multi-block requests pay one command overhead, like the real
-/// system.
+/// system. It also tallies the request's per-block [`CacheAction`]s, which
+/// reach the shard's atomic statistics once per request (or run) instead of
+/// once per block.
 #[derive(Debug, Default, Clone, Copy)]
 struct DeviceBatch {
     ssd_read: u64,
     ssd_write: u64,
     hdd_read: u64,
     hdd_write: u64,
+    /// Blocks per action, indexed by [`CacheAction::index`].
+    actions: [u64; CacheAction::ALL.len()],
+}
+
+impl DeviceBatch {
+    /// Tallies one block taking `action`.
+    fn count(&mut self, action: CacheAction) {
+        self.actions[action.index()] += 1;
+    }
+
+    /// Records the tallied actions. Only non-zero tallies are recorded, so
+    /// an action's key appears in the snapshot exactly when some block took
+    /// it.
+    fn record_actions(&self, stats: &AtomicCacheStats) {
+        for (action, &blocks) in CacheAction::ALL.iter().zip(&self.actions) {
+            if blocks > 0 {
+                stats.record_action(*action, blocks);
+            }
+        }
+    }
 }
 
 /// The block whose repeat read hit the optimistic path may serve without
@@ -210,7 +232,7 @@ impl Shard {
             self.debit_write_buffer(1);
         }
         inner.alloc.release(entry.pbn);
-        self.stats.record_action(CacheAction::Eviction, 1);
+        batch.count(CacheAction::Eviction);
     }
 
     /// Deducts `n` blocks from the write-buffer occupancy. An underflow
@@ -275,10 +297,12 @@ impl Shard {
                         .fetch_add(1, Ordering::Relaxed);
                 }
             }
-            self.stats.record_action(CacheAction::CacheHit, 1);
+            batch.count(CacheAction::CacheHit);
             match inner.policy.on_hit(lbn, entry.priority, req) {
                 HitOutcome::Unchanged => {}
-                HitOutcome::Moved(new) => self.apply_move(inner, view, lbn, entry.priority, new),
+                HitOutcome::Moved(new) => {
+                    self.apply_move(inner, view, lbn, entry.priority, new, batch)
+                }
             }
             match req.direction {
                 Direction::Read => {
@@ -309,7 +333,7 @@ impl Shard {
         if !inner.policy.admits(req) {
             // Bypassing: straight to the second-level device. `admits` is
             // a pure query, so the hot descriptor stays valid.
-            self.stats.record_action(CacheAction::Bypassing, 1);
+            batch.count(CacheAction::Bypassing);
             match req.direction {
                 Direction::Read => batch.hdd_read += 1,
                 Direction::Write => batch.hdd_write += 1,
@@ -326,14 +350,14 @@ impl Shard {
                 let state = match req.direction {
                     Direction::Read => {
                         // Read allocation: fetch from HDD, place in SSD.
-                        self.stats.record_action(CacheAction::ReadAllocation, 1);
+                        batch.count(CacheAction::ReadAllocation);
                         batch.hdd_read += 1;
                         batch.ssd_write += 1;
                         BlockState::Clean
                     }
                     Direction::Write => {
                         // Write allocation: place in SSD, mark dirty.
-                        self.stats.record_action(CacheAction::WriteAllocation, 1);
+                        batch.count(CacheAction::WriteAllocation);
                         batch.ssd_write += 1;
                         BlockState::Dirty
                     }
@@ -362,7 +386,7 @@ impl Shard {
             }
             None => {
                 // Not cache-worthy relative to current residents: bypass.
-                self.stats.record_action(CacheAction::Bypassing, 1);
+                batch.count(CacheAction::Bypassing);
                 match req.direction {
                     Direction::Read => batch.hdd_read += 1,
                     Direction::Write => batch.hdd_write += 1,
@@ -373,7 +397,7 @@ impl Shard {
     }
 
     /// Mirrors a policy-initiated group move in the metadata, write-buffer
-    /// accounting and statistics.
+    /// accounting and the request's action tally.
     fn apply_move(
         &self,
         inner: &mut ShardInner,
@@ -381,6 +405,7 @@ impl Shard {
         lbn: BlockAddr,
         old: CachePriority,
         new: CachePriority,
+        batch: &mut DeviceBatch,
     ) {
         if let Some(e) = view.meta.get_mut(lbn) {
             e.priority = new;
@@ -392,7 +417,7 @@ impl Shard {
         } else if is_buffered && !was_buffered {
             self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
         }
-        self.stats.record_action(CacheAction::ReAllocation, 1);
+        batch.count(CacheAction::ReAllocation);
     }
 
     /// Drains the shard's write buffer if its occupancy exceeds the limit:
@@ -1263,16 +1288,6 @@ impl CacheEngine {
                     }
                 }
             }
-            drop(view);
-            drop(inner);
-            // Request-level counters are atomics; recording them after the
-            // guards drop changes nothing about the totals.
-            for (i, req) in reqs.iter().enumerate() {
-                shard.stats.record_class(req.class, req.blocks(), hits[i]);
-                shard
-                    .stats
-                    .record_priority(preqs[i].prio.0, req.blocks(), hits[i]);
-            }
         } else {
             // Group block work by shard, preserving request order within
             // each shard, and visit every touched shard exactly once.
@@ -1295,15 +1310,18 @@ impl CacheEngine {
                     }
                 }
             }
-            // Request-level counters are striped to the run's first shard;
-            // the aggregate view sums all stripes, so placement is free.
-            let shard = self.shard(reqs[0].io.range.start);
-            for (i, req) in reqs.iter().enumerate() {
-                shard.stats.record_class(req.class, req.blocks(), hits[i]);
-                shard
-                    .stats
-                    .record_priority(preqs[i].prio.0, req.blocks(), hits[i]);
-            }
+        }
+        // Request-level counters and action tallies are atomics striped to
+        // the run's first shard (the only shard, when unsharded): recorded
+        // after the guards drop, and the aggregate view sums all stripes,
+        // so neither timing nor placement changes the totals.
+        let shard = self.shard(reqs[0].io.range.start);
+        for (i, req) in reqs.iter().enumerate() {
+            shard.stats.record_class(req.class, req.blocks(), hits[i]);
+            shard
+                .stats
+                .record_priority(preqs[i].prio.0, req.blocks(), hits[i]);
+            batches[i].record_actions(&shard.stats);
         }
 
         // Issue the device traffic as one queue per device, in request
@@ -1420,12 +1438,13 @@ impl CacheEngine {
             }
         }
         drop(guard);
-        // Request-level counters are striped to the first shard (the only
-        // shard, when unsharded); they are atomics, so no lock is needed
-        // and the aggregate view sums all stripes.
+        // Request-level counters and the action tally are striped to the
+        // first shard (the only shard, when unsharded); they are atomics,
+        // so no lock is needed and the aggregate view sums all stripes.
         let shard = self.shard(req.io.range.start);
         shard.stats.record_class(req.class, req.blocks(), hits);
         shard.stats.record_priority(preq.prio.0, req.blocks(), hits);
+        batch.record_actions(&shard.stats);
         self.flush_batch(&req, batch);
         // Only write-buffer traffic can grow the buffer, so the flush
         // check is needed — and its cost paid — only under a buffering
@@ -1497,20 +1516,23 @@ impl CacheEngine {
     }
 
     /// [`StorageSystem::trim`] below the journal wrapper.
+    ///
+    /// Each range's blocks are grouped by shard and every touched shard is
+    /// locked once per range. Shard `lbn % N` owns every `N`-th block, so a
+    /// shard's share of a range is one stride-`N` progression starting at
+    /// one of the range's first `N` blocks, walked in address order — the
+    /// per-shard block order of a block-by-block trim. Shards share no
+    /// state, so visiting them one after another leaves the same cache.
     fn trim_inner(&self, cmd: &TrimCommand) {
+        let stride = self.shards.len() as u64;
         for range in &cmd.ranges {
-            let mut blocks_iter = range.iter().peekable();
-            while let Some(lbn) = blocks_iter.next() {
-                let idx = self.shard_index(lbn);
-                let shard = &self.shards[idx];
+            let end = range.end().0;
+            for first in range.start.0..range.start.0 + range.len.min(stride) {
+                let shard = self.shard(BlockAddr(first));
                 let (mut inner, mut view) = shard.lock_for_write();
-                let mut trimmed = shard.trim_block(&mut inner, &mut view, lbn);
-                while let Some(&next) = blocks_iter.peek() {
-                    if self.shard_index(next) != idx {
-                        break;
-                    }
-                    blocks_iter.next();
-                    trimmed += shard.trim_block(&mut inner, &mut view, next);
+                let mut trimmed = 0;
+                for lbn in (first..end).step_by(stride as usize) {
+                    trimmed += shard.trim_block(&mut inner, &mut view, BlockAddr(lbn));
                 }
                 if trimmed > 0 {
                     shard.stats.record_action(CacheAction::Trim, trimmed);
@@ -1992,6 +2014,59 @@ mod tests {
             ));
             assert_eq!(c.resident_blocks(), 60, "{kind}");
         }
+    }
+
+    #[test]
+    fn sharded_trim_matches_unsharded_and_locks_each_touched_shard_once() {
+        const SHARDS: u64 = 8;
+        let config = PolicyConfig::paper_default();
+        // Roomy enough that neither engine evicts, so both start from the
+        // same resident set and only the trim path differs.
+        let unsharded = CacheEngine::new(config, 4_096);
+        let sharded = CacheEngine::with_shard_count(config, 4_096, SHARDS as usize);
+        for c in [&unsharded, &sharded] {
+            c.submit(write_req(
+                0,
+                300,
+                RequestClass::TemporaryData,
+                QosPolicy::priority(1),
+            ));
+            c.submit(read_req(
+                1_000,
+                200,
+                RequestClass::Random,
+                QosPolicy::priority(3),
+            ));
+        }
+        assert_eq!(sharded.resident_set(), unsharded.resident_set());
+        let trims = [
+            // Fewer blocks than shards.
+            TrimCommand::single(BlockRange::new(5u64, 3)),
+            // Many blocks per shard, overlapping the first trim.
+            TrimCommand::single(BlockRange::new(2u64, 100)),
+            // Several ranges, partly past the resident data.
+            TrimCommand::new(vec![
+                BlockRange::new(250u64, 100),
+                BlockRange::new(1_190u64, 30),
+            ]),
+            // Entirely absent blocks still visit their shards.
+            TrimCommand::single(BlockRange::new(700u64, 20)),
+            TrimCommand::single(BlockRange::new(9u64, 0)),
+        ];
+        for cmd in &trims {
+            let before = sharded.stats().contention.lock_acquisitions;
+            unsharded.trim(cmd);
+            sharded.trim(cmd);
+            let touched: u64 = cmd.ranges.iter().map(|r| r.len.min(SHARDS)).sum();
+            assert_eq!(
+                sharded.stats().contention.lock_acquisitions - before,
+                touched,
+                "one lock pair per touched shard of {cmd:?}"
+            );
+            assert_eq!(sharded.resident_set(), unsharded.resident_set(), "{cmd:?}");
+            assert_eq!(sharded.stats(), unsharded.stats(), "{cmd:?}");
+        }
+        assert_eq!(sharded.resident_blocks(), (300 - 100 - 50) + (200 - 10));
     }
 
     #[test]

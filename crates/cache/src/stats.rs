@@ -259,6 +259,13 @@ impl CacheStats {
 /// snapshot, just as `CacheStats::record_action(a, 0)` creates a zero
 /// entry (per-shard "seen" bitmasks track which keys were ever touched).
 ///
+/// Recording is built for the per-request hot path: a seen bit is set with
+/// a locked `fetch_or` only when a relaxed load shows it clear (its first
+/// sighting), and a zero amount skips its `fetch_add`. A snapshot therefore
+/// lists a key when its seen bit is set *or* any of its counters is
+/// non-zero: a [`AtomicCacheStats::reset`] racing a record can clear the
+/// bit after the recorder saw it set, but never hides the counted amount.
+///
 /// Individual counters are `Relaxed`; a snapshot taken while writers are
 /// active is a per-counter-atomic view, not a cross-counter consistent
 /// cut. Quiesced (no concurrent submits), it is exact — which is what the
@@ -318,18 +325,18 @@ impl AtomicCacheStats {
     /// served from cache. Equivalent to [`CacheStats::record_class`].
     pub fn record_class(&self, class: RequestClass, blocks: u64, hits: u64) {
         let i = class as usize;
-        self.class_seen.fetch_or(1 << i, Ordering::Relaxed);
-        self.class_accessed[i].fetch_add(blocks, Ordering::Relaxed);
-        self.class_hits[i].fetch_add(hits, Ordering::Relaxed);
+        mark_seen(&self.class_seen, 1 << i);
+        add(&self.class_accessed[i], blocks);
+        add(&self.class_hits[i], hits);
     }
 
     /// Records `blocks` accessed at priority `prio`, of which `hits` were
     /// served from cache. Equivalent to [`CacheStats::record_priority`].
     pub fn record_priority(&self, prio: u8, blocks: u64, hits: u64) {
         let i = prio as usize;
-        self.prio_seen[i / 64].fetch_or(1 << (i % 64), Ordering::Relaxed);
-        self.prio_accessed[i].fetch_add(blocks, Ordering::Relaxed);
-        self.prio_hits[i].fetch_add(hits, Ordering::Relaxed);
+        mark_seen(&self.prio_seen[i / 64], 1 << (i % 64));
+        add(&self.prio_accessed[i], blocks);
+        add(&self.prio_hits[i], hits);
     }
 
     /// Adds `blocks` to the counter of `action`. Equivalent to
@@ -337,8 +344,8 @@ impl AtomicCacheStats {
     /// action's key appears in the snapshot even when `blocks == 0`).
     pub fn record_action(&self, action: CacheAction, blocks: u64) {
         let i = action.index();
-        self.actions_seen.fetch_or(1 << i, Ordering::Relaxed);
-        self.actions[i].fetch_add(blocks, Ordering::Relaxed);
+        mark_seen(&self.actions_seen, 1 << i);
+        add(&self.actions[i], blocks);
     }
 
     /// Counts one acquisition of the owning shard's stripe mutex.
@@ -356,36 +363,33 @@ impl AtomicCacheStats {
     /// did for the locked per-shard snapshots).
     pub fn snapshot(&self) -> CacheStats {
         let mut out = CacheStats::new();
+        // A key is present when its seen bit is set or a counter moved
+        // (see the type docs for why both are needed).
+        let counters = |seen: bool, accessed: &AtomicU64, hits: &AtomicU64| {
+            let c = ClassCounters {
+                accessed_blocks: accessed.load(Ordering::Relaxed),
+                cache_hits: hits.load(Ordering::Relaxed),
+            };
+            (seen || c.accessed_blocks != 0 || c.cache_hits != 0).then_some(c)
+        };
         let class_seen = self.class_seen.load(Ordering::Relaxed);
         for (i, class) in RequestClass::all().iter().enumerate() {
-            if class_seen & (1 << i) != 0 {
-                out.per_class.insert(
-                    class.label().to_string(),
-                    ClassCounters {
-                        accessed_blocks: self.class_accessed[i].load(Ordering::Relaxed),
-                        cache_hits: self.class_hits[i].load(Ordering::Relaxed),
-                    },
-                );
+            let seen = class_seen & (1 << i) != 0;
+            if let Some(c) = counters(seen, &self.class_accessed[i], &self.class_hits[i]) {
+                out.per_class.insert(class.label().to_string(), c);
             }
         }
         for i in 0..PRIO_SLOTS {
-            if self.prio_seen[i / 64].load(Ordering::Relaxed) & (1 << (i % 64)) != 0 {
-                out.per_priority.insert(
-                    i as u8,
-                    ClassCounters {
-                        accessed_blocks: self.prio_accessed[i].load(Ordering::Relaxed),
-                        cache_hits: self.prio_hits[i].load(Ordering::Relaxed),
-                    },
-                );
+            let seen = self.prio_seen[i / 64].load(Ordering::Relaxed) & (1 << (i % 64)) != 0;
+            if let Some(c) = counters(seen, &self.prio_accessed[i], &self.prio_hits[i]) {
+                out.per_priority.insert(i as u8, c);
             }
         }
         let actions_seen = self.actions_seen.load(Ordering::Relaxed);
         for (i, action) in CacheAction::ALL.iter().enumerate() {
-            if actions_seen & (1 << i) != 0 {
-                out.actions.insert(
-                    format!("{action:?}"),
-                    self.actions[i].load(Ordering::Relaxed),
-                );
+            let blocks = self.actions[i].load(Ordering::Relaxed);
+            if actions_seen & (1 << i) != 0 || blocks != 0 {
+                out.actions.insert(format!("{action:?}"), blocks);
             }
         }
         out.contention = ContentionCounters {
@@ -412,6 +416,22 @@ impl AtomicCacheStats {
         self.actions_seen.store(0, Ordering::Relaxed);
         self.lock_acquisitions.store(0, Ordering::Relaxed);
         self.fast_path_hits.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Sets `bit` in a seen mask, paying for the locked read-modify-write only
+/// on the bit's first sighting.
+fn mark_seen(mask: &AtomicU64, bit: u64) {
+    if mask.load(Ordering::Relaxed) & bit == 0 {
+        mask.fetch_or(bit, Ordering::Relaxed);
+    }
+}
+
+/// Adds `n` to a counter, skipping the locked add when there is nothing to
+/// add.
+fn add(counter: &AtomicU64, n: u64) {
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -904,6 +924,13 @@ mod tests {
         assert!(snap.actions.contains_key("WriteBufferFlush"));
         assert!(snap.per_class.contains_key("update"));
         assert!(snap.per_priority.contains_key(&7));
+        // A repeat finds the seen bit set and changes nothing; after a
+        // reset the bit is clear again and a zero record must set it anew.
+        atomic.record_action(CacheAction::WriteBufferFlush, 0);
+        assert_eq!(atomic.snapshot(), locked);
+        atomic.reset();
+        atomic.record_action(CacheAction::WriteBufferFlush, 0);
+        assert_eq!(atomic.snapshot().actions.get("WriteBufferFlush"), Some(&0));
     }
 
     #[test]
@@ -920,6 +947,42 @@ mod tests {
         assert!(snap.per_class.is_empty());
         assert!(snap.actions.is_empty());
         assert_eq!(snap.contention, ContentionCounters::default());
+        // Recording again after the reset must set the cleared seen bits
+        // anew, so every key shows up again.
+        atomic.record_class(RequestClass::Random, 3, 1);
+        atomic.record_priority(2, 3, 1);
+        atomic.record_action(CacheAction::CacheHit, 1);
+        let mut locked = CacheStats::new();
+        locked.record_class(RequestClass::Random, 3, 1);
+        locked.record_priority(2, 3, 1);
+        locked.record_action(CacheAction::CacheHit, 1);
+        assert_eq!(atomic.snapshot(), locked);
+    }
+
+    #[test]
+    fn atomic_snapshot_lists_every_slot_with_a_non_zero_counter() {
+        // A reset racing a record can clear a seen bit the recorder had
+        // already found set, leaving a counted amount with a clear bit;
+        // the snapshot must still list that key. Reproduced by writing the
+        // counters directly.
+        let atomic = AtomicCacheStats::new();
+        atomic.class_hits[RequestClass::Update as usize].store(2, Ordering::Relaxed);
+        atomic.class_accessed[RequestClass::Sequential as usize].store(5, Ordering::Relaxed);
+        atomic.prio_hits[200].store(1, Ordering::Relaxed);
+        atomic.prio_accessed[3].store(9, Ordering::Relaxed);
+        atomic.actions[CacheAction::Trim.index()].store(7, Ordering::Relaxed);
+        let snap = atomic.snapshot();
+        assert_eq!(snap.class(RequestClass::Update).cache_hits, 2);
+        assert_eq!(snap.class(RequestClass::Sequential).accessed_blocks, 5);
+        assert_eq!(snap.per_class.len(), 2);
+        assert_eq!(
+            snap.per_priority.keys().copied().collect::<Vec<_>>(),
+            [3, 200]
+        );
+        assert_eq!(snap.priority(200).cache_hits, 1);
+        assert_eq!(snap.priority(3).accessed_blocks, 9);
+        assert_eq!(snap.actions.len(), 1);
+        assert_eq!(snap.action(CacheAction::Trim), 7);
     }
 
     #[test]

@@ -12,14 +12,15 @@
 
 use hstorage_cache::lru::LruList;
 use hstorage_storage::BlockAddr;
-use std::collections::HashSet;
 
 /// A fixed-capacity LRU buffer pool.
+///
+/// The recency list is also the membership index: its own hash index
+/// answers every residency question, so the pool keeps no second set.
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: u64,
     lru: LruList,
-    resident: HashSet<BlockAddr>,
     hits: u64,
     misses: u64,
 }
@@ -31,7 +32,6 @@ impl BufferPool {
         BufferPool {
             capacity,
             lru: LruList::new(),
-            resident: HashSet::new(),
             hits: 0,
             misses: 0,
         }
@@ -44,7 +44,7 @@ impl BufferPool {
 
     /// Number of blocks currently buffered.
     pub fn resident(&self) -> u64 {
-        self.resident.len() as u64
+        self.lru.len() as u64
     }
 
     /// Buffer-pool hits so far.
@@ -65,22 +65,17 @@ impl BufferPool {
             self.misses += 1;
             return false;
         }
-        if self.resident.contains(&block) {
-            self.lru.touch(&block);
+        if self.lru.touch(&block) {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
         if cacheable {
-            while self.resident.len() as u64 >= self.capacity {
-                if let Some(evicted) = self.lru.pop_lru() {
-                    self.resident.remove(&evicted);
-                } else {
-                    break;
-                }
+            // `capacity > 0` here, so a full pool always has a victim.
+            while self.lru.len() as u64 >= self.capacity {
+                self.lru.pop_lru();
             }
             self.lru.insert_mru(block);
-            self.resident.insert(block);
         }
         false
     }
@@ -88,18 +83,12 @@ impl BufferPool {
     /// Drops a block from the pool (e.g. when its temporary file is
     /// deleted). Returns whether it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> bool {
-        if self.resident.remove(&block) {
-            self.lru.remove(&block);
-            true
-        } else {
-            false
-        }
+        self.lru.remove(&block)
     }
 
     /// Drops everything and clears the counters.
     pub fn clear(&mut self) {
         self.lru = LruList::new();
-        self.resident.clear();
         self.hits = 0;
         self.misses = 0;
     }
@@ -158,5 +147,67 @@ mod tests {
         p.clear();
         assert_eq!(p.resident(), 0);
         assert_eq!(p.hits(), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The pool agrees with a `VecDeque` LRU model (front = most
+        /// recently used) on any trace of cacheable and non-cacheable
+        /// accesses, invalidations and clears: same hit/miss answers, same
+        /// counters and the same resident count after every step.
+        #[test]
+        fn pool_matches_a_vec_deque_lru_model(
+            capacity in 0u64..6,
+            ops in proptest::collection::vec((0u8..8, 0u64..12), 1..300),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            use std::collections::VecDeque;
+            let mut pool = BufferPool::new(capacity);
+            let mut model: VecDeque<u64> = VecDeque::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            fn take(model: &mut VecDeque<u64>, key: u64) -> bool {
+                match model.iter().position(|&k| k == key) {
+                    Some(pos) => {
+                        model.remove(pos);
+                        true
+                    }
+                    None => false,
+                }
+            }
+            for (op, key) in ops {
+                let block = BlockAddr(key);
+                match op {
+                    // Accesses dominate the mix: 0-2 cacheable, 3-4 not.
+                    0..=4 => {
+                        let cacheable = op <= 2;
+                        let hit = take(&mut model, key);
+                        if hit {
+                            hits += 1;
+                            model.push_front(key);
+                        } else {
+                            misses += 1;
+                            if cacheable && capacity > 0 {
+                                while model.len() as u64 >= capacity {
+                                    model.pop_back();
+                                }
+                                model.push_front(key);
+                            }
+                        }
+                        prop_assert_eq!(pool.access(block, cacheable), hit);
+                    }
+                    5 | 6 => prop_assert_eq!(pool.invalidate(block), take(&mut model, key)),
+                    _ => {
+                        pool.clear();
+                        model.clear();
+                        hits = 0;
+                        misses = 0;
+                    }
+                }
+                prop_assert_eq!(pool.hits(), hits);
+                prop_assert_eq!(pool.misses(), misses);
+                prop_assert_eq!(pool.resident(), model.len() as u64);
+            }
+        }
     }
 }

@@ -14,6 +14,12 @@
 //! The structures are updated at query start and end; the priority of a
 //! random request to `oid` is computed by Function (1) using the *lowest*
 //! registered level for `oid` and the global bounds.
+//!
+//! Because the structures change only at query boundaries, every change
+//! also bumps a [`ConcurrencyRegistry::generation`] counter. A caller that
+//! remembers lookups together with the generation they were made at can
+//! reuse them, lock-free, until the generation moves (see the executor's
+//! Rule-5 memo).
 
 use crate::catalog::ObjectId;
 use crate::plan::PlanTree;
@@ -21,6 +27,7 @@ use crate::priority::random_request_priority;
 use hstorage_storage::{CachePriority, PolicyConfig};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[derive(Debug, Default)]
@@ -63,6 +70,10 @@ pub struct QueryTicket {
 #[derive(Debug, Clone, Default)]
 pub struct ConcurrencyRegistry {
     inner: Arc<Mutex<RegistryInner>>,
+    /// Number of registry changes so far, shared by clones like `inner`.
+    /// Bumped under the mutex by every register/unregister, so an
+    /// unchanged value means an unchanged registry.
+    generation: Arc<AtomicU64>,
 }
 
 impl ConcurrencyRegistry {
@@ -76,6 +87,7 @@ impl ConcurrencyRegistry {
     /// `llow`/`lhigh` into the global bounds.
     pub fn register_query(&self, plan: &PlanTree) -> QueryTicket {
         let mut inner = self.inner.lock();
+        self.generation.fetch_add(1, Ordering::Release);
         let ticket = inner.next_ticket;
         inner.next_ticket += 1;
 
@@ -95,6 +107,7 @@ impl ConcurrencyRegistry {
     /// Unregisters a finished query, removing its contribution.
     pub fn unregister_query(&self, plan: &PlanTree, ticket: QueryTicket) {
         let mut inner = self.inner.lock();
+        self.generation.fetch_add(1, Ordering::Release);
         inner.query_bounds.remove(&ticket.ticket);
         for (oid, level) in plan.random_object_levels() {
             if let Some(list) = inner.objects.get_mut(&oid) {
@@ -110,6 +123,14 @@ impl ConcurrencyRegistry {
                 }
             }
         }
+    }
+
+    /// The registry's change counter: it moves on every
+    /// [`Self::register_query`] and [`Self::unregister_query`] and never
+    /// otherwise, so two equal reads bracket a period in which every
+    /// [`Self::random_priority`] answer stayed the same.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
     }
 
     /// Number of queries currently registered.
@@ -249,6 +270,23 @@ mod tests {
         let reg = ConcurrencyRegistry::new();
         let p = reg.random_priority(&cfg, oid(99), 2, (0, 3));
         assert_eq!(p, CachePriority(4));
+    }
+
+    #[test]
+    fn generation_moves_on_every_change_and_is_shared_by_clones() {
+        let reg = ConcurrencyRegistry::new();
+        let clone = reg.clone();
+        let a = plan_a();
+        let g0 = reg.generation();
+        let cfg = PolicyConfig::paper_default();
+        reg.random_priority(&cfg, oid(1), 0, (0, 0));
+        assert_eq!(reg.generation(), g0, "lookups do not change the registry");
+        let t = clone.register_query(&a);
+        let g1 = reg.generation();
+        assert!(g1 > g0);
+        reg.unregister_query(&a, t);
+        assert!(clone.generation() > g1);
+        assert_eq!(reg.generation(), clone.generation());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! unbatched execution.
 
 use crate::buffer_pool::BufferPool;
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, ObjectId};
 use crate::concurrency::ConcurrencyRegistry;
 use crate::plan::PlanTree;
 use crate::policy_table::PolicyAssignmentTable;
@@ -38,7 +38,8 @@ use crate::semantic::SemanticInfo;
 use crate::stats::QueryStats;
 use hstorage_cache::StorageSystem;
 use hstorage_storage::{
-    BlockAddr, BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, TrimCommand,
+    BlockAddr, BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
+    TrimCommand,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -92,10 +93,29 @@ impl ExecutorConfig {
     }
 }
 
+/// `(oid, effective level, query bounds)`: everything
+/// [`PolicyAssignmentTable::assign`] reads for a `Random` request besides
+/// the registry.
+type RandomQosKey = (ObjectId, u32, (u32, u32));
+
+/// The executor's memo of `Random`-class policies. Every entry was
+/// computed at registry generation `generation`; the registry's state is a
+/// function of its generation, so while the generation has not moved each
+/// entry is exactly what the locked lookup would return. A generation
+/// spans at most one query's lifetime on the single-query path (its
+/// registration and unregistration both move it), so the memo holds a
+/// handful of `(object, level)` pairs and a linear scan finds them.
+#[derive(Debug, Default)]
+struct RandomQosMemo {
+    generation: u64,
+    entries: Vec<(RandomQosKey, QosPolicy)>,
+}
+
 /// Executes query plans against a storage system.
 pub struct QueryExecutor {
     policy_table: PolicyAssignmentTable,
     registry: ConcurrencyRegistry,
+    random_qos: RandomQosMemo,
     buffer_pool: BufferPool,
     config: ExecutorConfig,
     rng: SmallRng,
@@ -119,6 +139,7 @@ impl QueryExecutor {
         QueryExecutor {
             policy_table: PolicyAssignmentTable::new(policy),
             registry,
+            random_qos: RandomQosMemo::default(),
             buffer_pool: BufferPool::new(config.buffer_pool_blocks),
             rng: SmallRng::seed_from_u64(config.seed),
             pending: Vec::with_capacity(config.io_batch_size),
@@ -235,7 +256,7 @@ impl QueryExecutor {
             }
             IoOp::UpdateWrite { info, table_range } => {
                 let block = self.pick(table_range);
-                let policy = self.policy_table.assign(info, &self.registry, level_bounds);
+                let policy = self.assign(info, level_bounds);
                 let io = IoRequest::write(BlockRange::new(block, 1), false);
                 stats.record_request(info.request_class(), 1);
                 self.flush_pending(storage);
@@ -283,7 +304,7 @@ impl QueryExecutor {
         is_write: bool,
         sequential: bool,
     ) {
-        let policy = self.policy_table.assign(info, &self.registry, level_bounds);
+        let policy = self.assign(info, level_bounds);
         let io = if is_write {
             IoRequest::write(range, sequential)
         } else {
@@ -304,6 +325,33 @@ impl QueryExecutor {
             self.flush_pending(storage);
             storage.submit(req);
         }
+    }
+
+    /// The QoS policy of a request: [`PolicyAssignmentTable::assign`],
+    /// with `Random`-class answers (the only ones that consult the shared
+    /// registry) served from the per-generation memo when possible.
+    fn assign(&mut self, info: &SemanticInfo, level_bounds: (u32, u32)) -> QosPolicy {
+        if info.request_class() != RequestClass::Random {
+            return self.policy_table.assign(info, &self.registry, level_bounds);
+        }
+        let generation = self.registry.generation();
+        let memo = &mut self.random_qos;
+        if memo.generation != generation {
+            memo.entries.clear();
+            memo.generation = generation;
+        }
+        let key = (info.oid, info.level.unwrap_or(level_bounds.0), level_bounds);
+        if let Some(&(_, qos)) = memo.entries.iter().find(|(k, _)| *k == key) {
+            return qos;
+        }
+        let qos = self.policy_table.assign(info, &self.registry, level_bounds);
+        // Keep the answer only if no registration raced the locked lookup:
+        // the generation is monotonic and bumped under the registry mutex,
+        // so an unchanged value proves the lookup saw this generation.
+        if self.registry.generation() == generation {
+            memo.entries.push((key, qos));
+        }
+        qos
     }
 
     /// Submits any batched sequential requests still pending, as one
@@ -551,7 +599,6 @@ mod tests {
     use crate::catalog::ObjectKind;
     use crate::plan::{Access, OperatorKind, PlanNode};
     use hstorage_cache::{HybridCache, StorageConfig, StorageConfigKind};
-    use hstorage_storage::{QosPolicy, RequestClass};
 
     fn small_catalog() -> (Catalog, crate::catalog::ObjectId, crate::catalog::ObjectId) {
         let mut cat = Catalog::new();
@@ -1032,6 +1079,142 @@ mod tests {
             assert_eq!(t.stats.total_requests(), s.total_requests());
             for class in RequestClass::all() {
                 assert_eq!(t.stats.blocks(class), s.blocks(class), "{class:?}");
+            }
+        }
+    }
+
+    /// Plans whose random accesses reach shared objects from different
+    /// levels, so registrations move both the per-object lowest level and
+    /// the global bounds.
+    fn rule_5_plans() -> Vec<PlanTree> {
+        let index_scan = |index: u32, table: u32| {
+            PlanNode::leaf(
+                OperatorKind::IndexScan,
+                Access::IndexScan {
+                    index: ObjectId(index),
+                    table: ObjectId(table),
+                    lookups: 10,
+                    index_hot_fraction: 1.0,
+                    table_hot_fraction: 1.0,
+                },
+            )
+        };
+        let seq_scan = |table: u32| {
+            PlanNode::leaf(
+                OperatorKind::SeqScan,
+                Access::SeqScan {
+                    table: ObjectId(table),
+                    passes: 1,
+                },
+            )
+        };
+        let join = |kind, children| PlanNode::node(kind, Access::None, children);
+        vec![
+            PlanTree::new("A", index_scan(10, 1)),
+            PlanTree::new(
+                "B",
+                join(
+                    OperatorKind::HashJoin,
+                    vec![index_scan(20, 3), index_scan(10, 1)],
+                ),
+            ),
+            PlanTree::new(
+                "C",
+                join(
+                    OperatorKind::NestedLoop,
+                    vec![
+                        join(OperatorKind::HashJoin, vec![index_scan(20, 3), seq_scan(4)]),
+                        index_scan(10, 1),
+                    ],
+                ),
+            ),
+            PlanTree::new(
+                "D",
+                join(
+                    OperatorKind::Aggregate,
+                    vec![join(
+                        OperatorKind::NestedLoop,
+                        vec![index_scan(30, 5), index_scan(20, 3)],
+                    )],
+                ),
+            ),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Executors sharing one registry, under any interleaving of query
+        /// registrations and unregistrations, always hand out the policy a
+        /// fresh locked `PolicyAssignmentTable::assign` returns — the
+        /// Rule-5 memo never serves an answer from a stale generation.
+        #[test]
+        fn memoized_policies_equal_a_fresh_assignment(
+            steps in proptest::collection::vec((0u8..3, 0usize..16), 1..80),
+            infos in proptest::collection::vec((0u8..6, 0usize..7, 0u32..6, 0usize..5), 1..16),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let oids = [1, 3, 5, 10, 20, 30, 99];
+            let bounds = [(0, 0), (0, 1), (0, 2), (1, 3), (2, 2)];
+            let infos: Vec<(SemanticInfo, (u32, u32))> = infos
+                .into_iter()
+                .map(|(kind, oid, level, b)| {
+                    let oid = ObjectId(oids[oid]);
+                    let info = match kind {
+                        0 | 1 => SemanticInfo::random_access(
+                            oid,
+                            crate::semantic::ContentType::Index,
+                            level,
+                        ),
+                        // A random access without a plan level falls back
+                        // to the query's lower bound.
+                        2 => SemanticInfo {
+                            level: None,
+                            ..SemanticInfo::random_access(
+                                oid,
+                                crate::semantic::ContentType::RegularTable,
+                                0,
+                            )
+                        },
+                        3 => SemanticInfo::sequential_scan(oid, level),
+                        4 => SemanticInfo::update(oid),
+                        _ => SemanticInfo::temporary(oid, level % 2 == 0),
+                    };
+                    (info, bounds[b])
+                })
+                .collect();
+            let plans = rule_5_plans();
+            let registry = ConcurrencyRegistry::new();
+            let policy = PolicyConfig::paper_default();
+            let table = PolicyAssignmentTable::new(policy);
+            let mut executors: Vec<QueryExecutor> = (0..3)
+                .map(|_| {
+                    QueryExecutor::with_registry(ExecutorConfig::default(), policy, registry.clone())
+                })
+                .collect();
+            let mut live = Vec::new();
+            for (op, arg) in steps {
+                match op {
+                    0 => {
+                        let plan = &plans[arg % plans.len()];
+                        live.push((arg % plans.len(), registry.register_query(plan)));
+                    }
+                    1 if !live.is_empty() => {
+                        let (plan, ticket) = live.swap_remove(arg % live.len());
+                        registry.unregister_query(&plans[plan], ticket);
+                    }
+                    // Warm one executor's memo at the current generation.
+                    _ => {
+                        let (info, b) = &infos[arg % infos.len()];
+                        let n = executors.len();
+                        executors[arg % n].assign(info, *b);
+                    }
+                }
+                for exec in &mut executors {
+                    for (info, b) in &infos {
+                        prop_assert_eq!(exec.assign(info, *b), table.assign(info, &registry, *b));
+                    }
+                }
             }
         }
     }

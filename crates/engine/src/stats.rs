@@ -36,15 +36,25 @@ impl QueryStats {
     }
 
     /// Records one storage request of `blocks` blocks of the given class.
+    ///
+    /// Runs once per storage request, so the label is looked up by
+    /// reference and a key `String` is allocated only on the class's first
+    /// sighting; both maps always gain their keys together.
     pub fn record_request(&mut self, class: RequestClass, blocks: u64) {
-        *self
-            .requests_by_class
-            .entry(class.label().to_string())
-            .or_default() += 1;
-        *self
-            .blocks_by_class
-            .entry(class.label().to_string())
-            .or_default() += blocks;
+        let label = class.label();
+        match (
+            self.requests_by_class.get_mut(label),
+            self.blocks_by_class.get_mut(label),
+        ) {
+            (Some(requests), Some(total)) => {
+                *requests += 1;
+                *total += blocks;
+            }
+            _ => {
+                *self.requests_by_class.entry(label.to_string()).or_default() += 1;
+                *self.blocks_by_class.entry(label.to_string()).or_default() += blocks;
+            }
+        }
     }
 
     /// Total storage requests.
