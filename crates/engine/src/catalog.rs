@@ -45,7 +45,7 @@ pub struct ObjectInfo {
 }
 
 /// The object catalog plus a simple bump allocator for temporary files.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
     objects: HashMap<ObjectId, ObjectInfo>,
     by_name: HashMap<String, ObjectId>,

@@ -33,7 +33,7 @@ use crate::catalog::{Catalog, ObjectId};
 use crate::concurrency::ConcurrencyRegistry;
 use crate::plan::PlanTree;
 use crate::policy_table::PolicyAssignmentTable;
-use crate::program::{compile, CompileOptions, IoOp, RequestProgram};
+use crate::program::{compile, CompileOptions, IoOp, ProgramCursor, RequestProgram};
 use crate::semantic::SemanticInfo;
 use crate::stats::QueryStats;
 use hstorage_cache::StorageSystem;
@@ -84,6 +84,18 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
+    /// Checks the configuration. Request sizes must be positive: no number
+    /// of zero-block requests covers a non-empty scan or spill.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.seq_blocks_per_request == 0 {
+            return Err("seq_blocks_per_request must be > 0".into());
+        }
+        if self.temp_blocks_per_request == 0 {
+            return Err("temp_blocks_per_request must be > 0".into());
+        }
+        Ok(())
+    }
+
     /// The compile options implied by this configuration.
     pub fn compile_options(&self) -> CompileOptions {
         CompileOptions {
@@ -136,6 +148,7 @@ impl QueryExecutor {
         policy: PolicyConfig,
         registry: ConcurrencyRegistry,
     ) -> Self {
+        config.validate().expect("invalid executor configuration");
         QueryExecutor {
             policy_table: PolicyAssignmentTable::new(policy),
             registry,
@@ -189,8 +202,8 @@ impl QueryExecutor {
         let ticket = self.registry.register_query(plan);
         let mut stats = QueryStats::new(&program.name);
         let io_start = storage.now();
-        for op in &program.ops {
-            self.execute_op(op, program.level_bounds, catalog, storage, &mut stats);
+        for op in program.iter() {
+            self.execute_op(&op, program.level_bounds, catalog, storage, &mut stats);
         }
         self.flush_pending(storage);
         self.registry.unregister_query(plan, ticket);
@@ -391,7 +404,7 @@ struct ActiveQuery {
     plan: PlanTree,
     ticket: crate::concurrency::QueryTicket,
     program: RequestProgram,
-    cursor: usize,
+    cursor: ProgramCursor,
     stats: QueryStats,
     io_start: Duration,
 }
@@ -455,8 +468,8 @@ pub fn run_concurrent(
                     active[idx] = Some(ActiveQuery {
                         plan,
                         ticket,
+                        cursor: program.cursor(),
                         program,
-                        cursor: 0,
                         stats,
                         io_start: storage.now(),
                     });
@@ -467,27 +480,27 @@ pub fn run_concurrent(
             };
             any_work = true;
 
-            // Split borrows: the ops are read out of `program` while the
-            // stats are written, so the slice executes in place — no
-            // per-slice clone of the `IoOp`s.
+            // Split borrows: each op is pulled from the cursor while the
+            // stats are written; nothing of the program is materialized.
             let ActiveQuery {
                 program,
                 cursor,
                 stats,
                 ..
             } = query;
-            let end = (*cursor + ops_per_slice).min(program.ops.len());
-            for op in &program.ops[*cursor..end] {
-                executor.execute_op(op, program.level_bounds, catalog, storage, stats);
+            for _ in 0..ops_per_slice {
+                let Some(op) = cursor.next(program) else {
+                    break;
+                };
+                executor.execute_op(&op, program.level_bounds, catalog, storage, stats);
             }
             // The slice boundary is also the batch boundary: flushing here
             // keeps the interleaving deterministic (a stream's batched scan
             // I/O never drifts into another stream's slice) and lets the
             // completion check below observe a fully up-to-date clock.
             executor.flush_pending(storage);
-            *cursor = end;
 
-            if query.cursor >= query.program.ops.len() {
+            if cursor.is_done(program) {
                 let mut done = active[idx].take().expect("query was active");
                 executor.registry.unregister_query(&done.plan, done.ticket);
                 finalize(&mut done.stats, done.io_start, storage);
@@ -859,6 +872,203 @@ mod tests {
         assert!(done.iter().all(|q| q.stats.elapsed > Duration::ZERO));
         let s1_count = done.iter().filter(|q| q.stream == "s1").count();
         assert_eq!(s1_count, 2);
+    }
+
+    #[test]
+    fn validate_rejects_zero_request_sizes() {
+        assert!(ExecutorConfig::default().validate().is_ok());
+        let seq = ExecutorConfig {
+            seq_blocks_per_request: 0,
+            ..ExecutorConfig::default()
+        };
+        assert!(seq.validate().is_err());
+        let temp = ExecutorConfig {
+            temp_blocks_per_request: 0,
+            ..ExecutorConfig::default()
+        };
+        assert!(temp.validate().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid executor configuration")]
+    fn executor_refuses_a_zero_request_size() {
+        let cfg = ExecutorConfig {
+            temp_blocks_per_request: 0,
+            ..ExecutorConfig::default()
+        };
+        QueryExecutor::new(cfg, PolicyConfig::paper_default());
+    }
+
+    /// A reference concurrent driver over materialized programs: every
+    /// query's operations compiled into a vector up front by the eager
+    /// oracle, then executed `ops_per_slice` at a time.
+    fn run_concurrent_materialized(
+        executor: &mut QueryExecutor,
+        streams: &[StreamSpec],
+        catalog: &mut Catalog,
+        storage: &dyn StorageSystem,
+        ops_per_slice: usize,
+    ) -> Vec<CompletedQuery> {
+        struct Active {
+            plan: PlanTree,
+            ticket: crate::concurrency::QueryTicket,
+            level_bounds: (u32, u32),
+            ops: Vec<IoOp>,
+            cursor: usize,
+            stats: QueryStats,
+            io_start: Duration,
+        }
+        let mut pending: Vec<std::collections::VecDeque<PlanTree>> = streams
+            .iter()
+            .map(|s| s.queries.iter().cloned().collect())
+            .collect();
+        let mut active: Vec<Option<Active>> = streams.iter().map(|_| None).collect();
+        let mut completed = Vec::new();
+        loop {
+            let mut any_work = false;
+            for (idx, stream) in streams.iter().enumerate() {
+                if active[idx].is_none() {
+                    if let Some(plan) = pending[idx].pop_front() {
+                        let options = executor.config().compile_options();
+                        let program = crate::program::eager::compile(&plan, catalog, options);
+                        let ticket = executor.registry.register_query(&plan);
+                        active[idx] = Some(Active {
+                            stats: QueryStats::new(&plan.name),
+                            plan,
+                            ticket,
+                            level_bounds: program.level_bounds,
+                            ops: program.ops,
+                            cursor: 0,
+                            io_start: storage.now(),
+                        });
+                    }
+                }
+                let Some(query) = active[idx].as_mut() else {
+                    continue;
+                };
+                any_work = true;
+                let end = query
+                    .cursor
+                    .saturating_add(ops_per_slice)
+                    .min(query.ops.len());
+                for op in &query.ops[query.cursor..end] {
+                    executor.execute_op(op, query.level_bounds, catalog, storage, &mut query.stats);
+                }
+                executor.flush_pending(storage);
+                query.cursor = end;
+                if query.cursor >= query.ops.len() {
+                    let mut done = active[idx].take().expect("query was active");
+                    executor.registry.unregister_query(&done.plan, done.ticket);
+                    finalize(&mut done.stats, done.io_start, storage);
+                    completed.push(CompletedQuery {
+                        stream: stream.name.clone(),
+                        stats: done.stats,
+                    });
+                }
+            }
+            if !any_work {
+                break;
+            }
+        }
+        completed
+    }
+
+    type Driver = fn(
+        &mut QueryExecutor,
+        &[StreamSpec],
+        &mut Catalog,
+        &dyn StorageSystem,
+        usize,
+    ) -> Vec<CompletedQuery>;
+
+    #[test]
+    fn streamed_concurrent_driver_matches_the_materialized_one() {
+        let (cat, table, index) = small_catalog();
+        let spill = |blocks, read_passes| {
+            PlanNode::leaf(
+                OperatorKind::Sort,
+                Access::TempSpill {
+                    blocks,
+                    read_passes,
+                },
+            )
+        };
+        let probe = |lookups| {
+            PlanNode::leaf(
+                OperatorKind::IndexScan,
+                Access::IndexScan {
+                    index,
+                    table,
+                    lookups,
+                    index_hot_fraction: 0.5,
+                    table_hot_fraction: 0.2,
+                },
+            )
+        };
+        let scan = PlanNode::leaf(OperatorKind::SeqScan, Access::SeqScan { table, passes: 1 });
+        // A pipelined join whose inputs interleave, with a spill whose
+        // generation interleaves with them and whose consumption is
+        // deferred, plus updates.
+        let join = PlanTree::new(
+            "join",
+            PlanNode::node(
+                OperatorKind::Materialize,
+                Access::TempSpill {
+                    blocks: 300,
+                    read_passes: 2,
+                },
+                vec![PlanNode::node(
+                    OperatorKind::HashJoin,
+                    Access::None,
+                    vec![scan.clone(), probe(150), spill(100, 1)],
+                )],
+            ),
+        );
+        let update = PlanTree::new(
+            "update",
+            PlanNode::leaf(OperatorKind::Update, Access::Update { table, blocks: 40 }),
+        );
+        let streams = vec![
+            StreamSpec {
+                name: "s1".into(),
+                queries: vec![join.clone(), random_plan(table, index, 200)],
+            },
+            StreamSpec {
+                name: "s2".into(),
+                queries: vec![seq_plan(table), update.clone(), join],
+            },
+            StreamSpec {
+                name: "s3".into(),
+                queries: vec![update, PlanTree::new("blocking", spill(64, 0))],
+            },
+        ];
+        for ops_per_slice in [1, 7, usize::MAX] {
+            let run = |driver: Driver| {
+                let mut exec = executor();
+                let mut cat = cat.clone();
+                let storage = StorageConfig::new(StorageConfigKind::HStorageDb, 1_000).build();
+                let done = driver(
+                    &mut exec,
+                    &streams,
+                    &mut cat,
+                    storage.as_ref(),
+                    ops_per_slice,
+                );
+                let done: Vec<(String, QueryStats)> =
+                    done.into_iter().map(|q| (q.stream, q.stats)).collect();
+                (
+                    done,
+                    cat,
+                    storage.stats(),
+                    storage.now(),
+                    storage.resident_blocks(),
+                )
+            };
+            let streamed = run(run_concurrent);
+            let materialized = run(run_concurrent_materialized);
+            assert_eq!(streamed.0.len(), 7, "ops_per_slice {ops_per_slice}");
+            assert_eq!(streamed, materialized, "ops_per_slice {ops_per_slice}");
+        }
     }
 
     #[test]

@@ -53,10 +53,10 @@ pub use executor::{
     run_concurrent, run_threaded, CompletedQuery, ExecutorConfig, QueryExecutor, StreamSpec,
 };
 pub use migration::MigrationDriver;
-pub use plan::{Access, OperatorKind, PlanNode, PlanTree};
+pub use plan::{Access, OperatorKind, PlanNode, PlanTree, RandomLevels};
 pub use policy_table::PolicyAssignmentTable;
 pub use priority::random_request_priority;
-pub use program::{compile, CompileOptions, IoOp, RequestProgram};
+pub use program::{compile, CompileOptions, IoOp, ProgramCursor, RequestProgram};
 pub use semantic::{AccessPattern, ContentType, SemanticInfo};
 pub use service::{
     run_streams_service, QueryRequest, QueryResponse, QueryService, ServiceConfig, ServiceReport,

@@ -188,6 +188,47 @@ pub struct ExecStep {
     pub level: u32,
 }
 
+/// The random operators of a plan as Rule 2 and Function (1) see them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RandomLevels {
+    /// The lowest and highest effective levels over all operators that
+    /// issue random requests (`llow`, `lhigh`); `None` without any.
+    pub bounds: Option<(u32, u32)>,
+    /// Every randomly accessed object with the minimum effective level of
+    /// the operators accessing it, in order of first access (pre-order).
+    pub objects: Vec<(ObjectId, u32)>,
+}
+
+impl RandomLevels {
+    /// Derives the summary from a plan's [`PlanTree::operator_levels`].
+    pub fn of(levels: &[OperatorLevel]) -> Self {
+        let mut out = RandomLevels::default();
+        for op in levels {
+            let level = op.effective_level;
+            for oid in op.access.random_objects() {
+                out.bounds = Some(match out.bounds {
+                    None => (level, level),
+                    Some((lo, hi)) => (lo.min(level), hi.max(level)),
+                });
+                match out.objects.iter_mut().find(|(o, _)| *o == oid) {
+                    Some((_, l)) => *l = (*l).min(level),
+                    None => out.objects.push((oid, level)),
+                }
+            }
+        }
+        out
+    }
+
+    /// The level Rule 2 assigns to random requests to `oid`, if the plan
+    /// accesses it randomly.
+    pub fn object_level(&self, oid: ObjectId) -> Option<u32> {
+        self.objects
+            .iter()
+            .find(|(o, _)| *o == oid)
+            .map(|&(_, level)| level)
+    }
+}
+
 /// A full query plan tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanTree {
@@ -318,22 +359,18 @@ impl PlanTree {
             .collect()
     }
 
+    /// Rule 2's view of the plan's random operators — the query bounds and
+    /// the per-object lowest levels — from one [`Self::operator_levels`]
+    /// pass.
+    pub fn random_levels(&self) -> RandomLevels {
+        RandomLevels::of(&self.operator_levels())
+    }
+
     /// The lowest and highest *effective* levels over all operators that
     /// issue random requests (`llow`, `lhigh` in Function (1)). `None` if
     /// the plan has no random operators.
     pub fn random_level_bounds(&self) -> Option<(u32, u32)> {
-        let levels = self.operator_levels();
-        let mut bounds: Option<(u32, u32)> = None;
-        for op in &levels {
-            if op.access.random_objects().is_empty() {
-                continue;
-            }
-            bounds = Some(match bounds {
-                None => (op.effective_level, op.effective_level),
-                Some((lo, hi)) => (lo.min(op.effective_level), hi.max(op.effective_level)),
-            });
-        }
-        bounds
+        self.random_levels().bounds
     }
 
     /// For every object accessed randomly, the minimum effective level of
@@ -341,15 +378,7 @@ impl PlanTree {
     /// requests to this table are determined by the operator at the lowest
     /// level of the query plan tree".
     pub fn random_object_levels(&self) -> HashMap<ObjectId, u32> {
-        let mut map: HashMap<ObjectId, u32> = HashMap::new();
-        for op in self.operator_levels() {
-            for oid in op.access.random_objects() {
-                map.entry(oid)
-                    .and_modify(|l| *l = (*l).min(op.effective_level))
-                    .or_insert(op.effective_level);
-            }
-        }
-        map
+        self.random_levels().objects.into_iter().collect()
     }
 
     /// The execution order: a post-order walk (children before parents), as
